@@ -1,10 +1,15 @@
 // Micro benchmarks for the online admission service: steady-state
 // per-decision latency of the OnlineScheduler callback path as a function
 // of machine-queue depth. One iteration is one finish + one arrival on a
-// single saturated machine — two mapping events that each walk the
-// completion-model chain of a depth-q queue — so this is the per-event
-// cost a serve daemon pays once warm (chain updates are O(q)
-// convolutions; the dropper sees every queue on both events).
+// single saturated machine — two mapping events — so this is the per-event
+// cost a serve daemon pays once warm. Each finish shifts the queue, so the
+// proactive dropper re-examines all q positions and the completion chain
+// is rebuilt: O(q) convolutions. The dropper's provisional Eq. 8 windows
+// used to dominate that cost (eta convolutions per position). Here every
+// chance is 1, so each window's bound (window_chance_bound) already rules
+// Eq. 8 out and none is built. What remains per event is the chain
+// rebuild, the dropper's per-position bound (one prefix sum per window
+// slot), and PAM's appended-distribution probe for the arrival.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

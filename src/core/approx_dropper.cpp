@@ -6,6 +6,7 @@
 #include <string>
 
 #include "prob/convolution.hpp"
+#include "util/audit.hpp"
 
 namespace taskdrop {
 namespace {
@@ -44,6 +45,30 @@ double weighted_window_utility(const Pmf& pred, const Machine& machine,
         (approx_mode ? approx_weight : 1.0) * chain.mass_before(task.deadline);
   }
   return utility;
+}
+
+/// Upper bound on weighted_window_utility over the same window, weighting
+/// each position's chance_bound as that utility weights its chance: the
+/// skipped position contributes nothing, and position n sits n - first + 1
+/// convolutions down the chain (or fewer, past a skipped position). A
+/// negative weight only lowers the utility, so it bounds with weight 0.
+double weighted_window_bound(const Pmf& pred, const Machine& machine,
+                             const std::vector<Task>& tasks,
+                             std::size_t first, std::size_t last,
+                             double approx_weight, std::ptrdiff_t skipped_pos,
+                             std::ptrdiff_t downgraded_pos) {
+  if (machine.queue.empty() || first >= machine.queue.size()) return 0.0;
+  last = std::min(last, machine.queue.size() - 1);
+  double bound = 0.0;
+  for (std::size_t i = first; i <= last; ++i) {
+    if (static_cast<std::ptrdiff_t>(i) == skipped_pos) continue;
+    const Task& task = tasks[static_cast<std::size_t>(machine.queue[i])];
+    const bool approx_mode =
+        task.approximate || static_cast<std::ptrdiff_t>(i) == downgraded_pos;
+    const double weight = approx_mode ? std::max(0.0, approx_weight) : 1.0;
+    bound += weight * chance_bound(pred, task.deadline, i - first + 1);
+  }
+  return bound;
 }
 
 }  // namespace
@@ -92,22 +117,36 @@ void ApproxDropper::run(SystemView& view, SchedulerOps& ops) {
             (*view.tasks)[static_cast<std::size_t>(machine.queue[n])];
         keep += (kept.approximate ? weight : 1.0) * model.chance(n);
       }
+      // Each option is evaluated only when its bound can beat beta * keep.
+      // An option that cannot is recorded as -1 (not a candidate), which
+      // leaves the decision unchanged: when the other option fires it wins
+      // the drop-vs-downgrade comparison anyway, and otherwise nothing fires.
+      const double threshold = params_.beta * keep;
+      const auto evaluate = [&](std::ptrdiff_t skipped,
+                                std::ptrdiff_t downgraded, const char* who) {
+        const double bound =
+            weighted_window_bound(pred, machine, *view.tasks, pos, window_end,
+                                  weight, skipped, downgraded);
+        const bool pruned = bound <= threshold;
+        if (pruned && !audit::due(audit_counter_)) return -1.0;
+        const double utility = weighted_window_utility(
+            pred, machine, *view.tasks, *view.pet, view.approx_pet, pos,
+            window_end, weight, skipped, downgraded, ws_);
+        if (!pruned) return utility;
+        audit_pruned_window(machine, *view.tasks, *view.pet, view.approx_pet,
+                            pos, window_end, utility, bound, threshold, who);
+        return -1.0;
+      };
+      const auto self = static_cast<std::ptrdiff_t>(pos);
       const double drop =
-          is_last ? -1.0
-                  : weighted_window_utility(
-                        pred, machine, *view.tasks, *view.pet, view.approx_pet,
-                        pos, window_end, weight,
-                        static_cast<std::ptrdiff_t>(pos), kNone, ws_);
+          is_last ? -1.0 : evaluate(self, kNone, "approx dropper (drop)");
       const double downgrade =
           task.approximate || view.approx_pet == nullptr
               ? -1.0
-              : weighted_window_utility(
-                    pred, machine, *view.tasks, *view.pet, view.approx_pet,
-                    pos, window_end, weight, kNone,
-                    static_cast<std::ptrdiff_t>(pos), ws_);
+              : evaluate(kNone, self, "approx dropper (downgrade)");
 
       const double best = std::max(drop, downgrade);
-      if (best > params_.beta * keep) {
+      if (best > threshold) {
         if (drop >= downgrade) {
           ops.drop_queued_task(machine.id, pos);
           // Re-examine the task that shifted into this position.

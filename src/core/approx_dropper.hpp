@@ -28,6 +28,10 @@ namespace taskdrop {
 /// downgrading is also considered for the *last* task in a queue: it has no
 /// influence zone, but shrinking its own execution raises its own chance.
 ///
+/// Like the heuristic, an option whose window_chance_bound-based weighted
+/// bound cannot beat beta * keep is never evaluated (see
+/// ProactiveHeuristicDropper); decisions are unchanged.
+///
 /// Requires the engine's approximate-computing extension to be enabled
 /// (SystemView::approx_pet non-null); otherwise behaves exactly like
 /// ProactiveHeuristicDropper.
@@ -53,6 +57,8 @@ class ApproxDropper final : public Dropper {
   std::vector<std::uint64_t> examined_versions_;
   /// Scratch for the provisional keep/drop/downgrade chains.
   PmfWorkspace ws_;
+  /// TASKDROP_AUDIT sampling counter for the pruned-window check.
+  std::uint64_t audit_counter_ = 0;
 };
 
 }  // namespace taskdrop

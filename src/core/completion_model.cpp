@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -226,6 +227,13 @@ void CompletionModel::audit_verify_chain(std::size_t pos) {
     }
     audit_expect_same_pmf(completions_[i], ref,
                           "completion chain position " + std::to_string(i));
+    // The window bounds clip each chance at 1 on the premise that a chain
+    // slot carries at most 1 + kWindowBoundEps of mass per convolution.
+    if (ref.total_mass() > 1.0 + static_cast<double>(i + 1) * kWindowBoundEps) {
+      audit::fail("completion chain position " + std::to_string(i) +
+                  " carries mass " + std::to_string(ref.total_mass()) +
+                  " above the window bounds' premise");
+    }
     // float-eq-ok: bit-identity audit is exact by design
     if (chances_[i] != ref.mass_before(task.deadline)) {
       audit::fail("cached chance at position " + std::to_string(i) +
@@ -480,6 +488,52 @@ double window_chance_sum(const Pmf& pred, const Machine& machine,
     sum += chain.mass_before(task.deadline);
   }
   return sum;
+}
+
+double chance_bound(const Pmf& pred, Tick deadline, std::size_t steps) {
+  if (pred.empty() || deadline <= pred.min_time()) return 0.0;
+  return std::min(1.0, pred.mass_before(deadline)) +
+         static_cast<double>(steps) * kWindowBoundEps;
+}
+
+double window_chance_bound(const Pmf& pred, const Machine& machine,
+                           const std::vector<Task>& tasks, std::size_t first,
+                           std::size_t last) {
+  if (machine.queue.empty() || first >= machine.queue.size()) return 0.0;
+  last = std::min(last, machine.queue.size() - 1);
+  double bound = 0.0;
+  for (std::size_t n = first; n <= last; ++n) {
+    const Task& task = tasks[static_cast<std::size_t>(machine.queue[n])];
+    bound += chance_bound(pred, task.deadline, n - first + 1);
+  }
+  return bound;
+}
+
+void audit_pruned_window(const Machine& machine, const std::vector<Task>& tasks,
+                         const PetMatrix& pet, const PetMatrix* approx_pet,
+                         std::size_t first, std::size_t last, double computed,
+                         double bound, double threshold, const char* who) {
+  last = std::min(last, machine.queue.size() - 1);
+  for (std::size_t n = first; n <= last; ++n) {
+    const Task& task = tasks[static_cast<std::size_t>(machine.queue[n])];
+    const bool negative =
+        pet.pmf(task.type, machine.type).min_time() < 0 ||
+        (approx_pet != nullptr &&
+         approx_pet->pmf(task.type, machine.type).min_time() < 0);
+    if (negative) {
+      audit::fail(std::string(who) + ": execution PMF of queue position " +
+                  std::to_string(n) +
+                  " has negative support; the window bound assumes >= 0");
+    }
+  }
+  if (computed > bound || computed > threshold) {
+    char values[160];
+    std::snprintf(values, sizeof values,
+                  "%.17g exceeds its bound %.17g or the decision threshold "
+                  "%.17g",
+                  computed, bound, threshold);
+    audit::fail(std::string(who) + ": pruned window value " + values);
+  }
 }
 
 }  // namespace taskdrop

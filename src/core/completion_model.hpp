@@ -295,4 +295,60 @@ double window_chance_sum(const Pmf& pred, const Machine& machine,
                          const PetMatrix* approx_pet = nullptr,
                          PmfWorkspace* ws = nullptr);
 
+/// Per-convolution-step slack ε of the window bounds below.
+///
+/// Execution times are >= 0, so deadline-truncated convolution never moves
+/// mass earlier: for every t, c_n.mass_before(t) <= c_{n-1}.mass_before(t)
+/// times the execution PMF's total mass. Every slot of a provisional chain
+/// rooted at `pred` therefore has at most pred.mass_before(d_n) of mass
+/// before its deadline d_n, and at most its total mass — so its chance is
+/// at most min(1, pred.mass_before(d_n)) in exact arithmetic. The computed
+/// chance can exceed that by, per convolution step s on the chain:
+///   * the PMF mass invariant (pmf.hpp: a proper PMF sums to 1 within
+///     1e-9) — each execution PMF, and the root itself, may carry up to
+///     1e-9 of excess mass, which can all land before d_n;
+///   * publish()'s trailing lump, which folds at most 1e-12 of tail mass
+///     into an earlier bin;
+///   * rounding of the kernels' and mass_before's sums of nonnegative
+///     terms (<= N*2^-53 relative, 1e-10 at 2^20 bins) and, on the FFT
+///     path, its absolute noise (far below 1e-10 at the supports in use).
+/// That is at most about 2e-9 per step (the root's excess counted on the
+/// first); ε = 1e-8 per step leaves a margin of four, which also absorbs
+/// the rounding of the bound's own sum and of the callers' window sums
+/// (<= q^2 * 2^-53 over q <= 64 terms).
+inline constexpr double kWindowBoundEps = 1e-8;
+
+/// Allocation-free upper bound on window_chance_sum(pred, machine, tasks,
+/// pet, first, last, approx_pet) for every PET whose execution PMFs start
+/// at time >= 0 — bit for bit, including rounding:
+///
+///   sum_{n=first}^{last} min(1, pred.mass_before(d_n)) + (n - first + 1) ε
+///
+/// A term whose deadline is at or before pred.min_time() is exactly 0
+/// (no chain slot ever has support before its root's), as is its computed
+/// chance. The bound costs one prefix sum over `pred` per position instead
+/// of one convolution, which is what lets the proactive droppers skip the
+/// provisional windows that provably cannot satisfy Eq. 8. `last` is
+/// clamped to the queue tail.
+double window_chance_bound(const Pmf& pred, const Machine& machine,
+                           const std::vector<Task>& tasks, std::size_t first,
+                           std::size_t last);
+
+/// One term of window_chance_bound: the bound on the chance of a slot with
+/// deadline `deadline`, `steps` convolutions down a chain rooted at `pred`.
+/// Weighted windows (the approx dropper's utilities) sum weight * term.
+double chance_bound(const Pmf& pred, Tick deadline, std::size_t steps);
+
+/// TASKDROP_AUDIT check behind every sampled pruned window: fails unless
+/// each execution PMF a provisional walk over queue positions [first, last]
+/// could convolve (the approximate variant included) starts at time >= 0 —
+/// the precondition of the bounds above — and unless the skipped value
+/// `computed` stays within `bound` and at or below the decision
+/// `threshold` (so the skipped decision would not have fired). `who` names
+/// the caller in the failure.
+void audit_pruned_window(const Machine& machine, const std::vector<Task>& tasks,
+                         const PetMatrix& pet, const PetMatrix* approx_pet,
+                         std::size_t first, std::size_t last, double computed,
+                         double bound, double threshold, const char* who);
+
 }  // namespace taskdrop

@@ -1,12 +1,19 @@
 #include "core/optimal_dropper.hpp"
 
 #include <cassert>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "prob/convolution.hpp"
+#include "util/audit.hpp"
 
 namespace taskdrop {
 namespace {
+
+/// Tie tolerance of the subset selection: a subset replaces the running
+/// best when it is better by more than this, or within it with fewer drops.
+constexpr double kTieEps = 1e-12;
 
 /// One subset-enumeration pass over a machine queue, sharing provisional
 /// chain prefixes across subsets.
@@ -23,17 +30,30 @@ namespace {
 /// indexed by drop mask, so the selection loop can scan masks in plain
 /// ascending order and stays bit-identical to the direct evaluation,
 /// epsilon tie-breaks included.
+///
+/// The enumeration is a branch-and-bound. Every subset in the subtree below
+/// a node keeps a subset of the remaining positions on top of the node's
+/// chain, so its robustness is at most the node's running sum plus
+/// window_chance_bound over those positions. The selection starts at the
+/// keep-all robustness and only lowers its running best through tie
+/// replacements, at most one per mask, each by less than kTieEps plus the
+/// rounding of best - kTieEps (below kTieEps too, since robustness is at
+/// most the queue length); and a mask can only replace the best when it is
+/// above best - kTieEps. So no mask below keep_all - 2^(k+1) * kTieEps can
+/// ever be selected, and a subtree whose bound falls below that floor is
+/// recorded as -infinity without building its chains: the selection scans
+/// the same masks in the same order and picks the identical subset.
 class SubsetEnumerator {
  public:
   SubsetEnumerator(const Machine& machine, const std::vector<Task>& tasks,
                    const PetMatrix& pet, const PetMatrix* approx_pet,
                    CompletionModel& model, std::size_t droppable_count,
                    PmfWorkspace& ws, std::vector<Pmf>& chain_stack,
-                   std::vector<double>& results)
+                   std::vector<double>& results, std::uint64_t& audit_counter)
       : machine_(machine), tasks_(tasks), pet_(pet), approx_pet_(approx_pet),
         model_(model), start_(machine.first_pending_pos()),
         k_(droppable_count), ws_(ws), chain_stack_(chain_stack),
-        results_(results) {
+        results_(results), audit_counter_(audit_counter) {
     if (chain_stack_.size() < k_ + 1) chain_stack_.resize(k_ + 1);
     results_.assign(std::size_t{1} << k_, 0.0);
   }
@@ -45,6 +65,10 @@ class SubsetEnumerator {
       keep_all += model_.chance(pos);
     }
     results_[0] = keep_all;
+    // kWindowBoundEps also covers the rounding of the running sums the
+    // results fold (<= q^2 * 2^-53).
+    floor_ = keep_all - 2.0 * static_cast<double>(results_.size()) * kTieEps -
+             kWindowBoundEps;
 
     // Subtrees by lowest dropped position. The prefix [0, start_+b) is
     // kept, so its chance sum folds the cached per-slot chances in the
@@ -67,9 +91,24 @@ class SubsetEnumerator {
   }
 
   /// Extends `chain` over droppable bits [bit, k_) then the always-kept
-  /// queue tail, recording one robustness per completed mask.
+  /// queue tail, recording one robustness per completed mask — or -infinity
+  /// for every mask of a subtree that cannot reach the selection floor.
   void descend(std::size_t bit, const Pmf& chain, double sum, unsigned mask,
                std::size_t depth) {
+    if (pruning_ &&
+        sum + window_chance_bound(chain, machine_, tasks_, start_ + bit,
+                                  machine_.queue.size() - 1) <
+            floor_) {
+      if (audit::due(audit_counter_)) {
+        audit_pruned_subtree(bit, chain, sum, mask, depth);
+      }
+      const unsigned span = 1u << (k_ - bit);
+      for (unsigned rest = 0; rest < span; ++rest) {
+        results_[mask | (rest << bit)] =
+            -std::numeric_limits<double>::infinity();
+      }
+      return;
+    }
     if (bit == k_) {
       const std::size_t last = machine_.queue.size() - 1;
       const Task& task =
@@ -90,6 +129,23 @@ class SubsetEnumerator {
     descend(bit + 1, chain, sum, mask | (1u << bit), depth);
   }
 
+  /// TASKDROP_AUDIT: evaluates a pruned subtree in full and fails if any of
+  /// its masks reaches the selection floor.
+  void audit_pruned_subtree(std::size_t bit, const Pmf& chain, double sum,
+                            unsigned mask, std::size_t depth) {
+    pruning_ = false;
+    descend(bit, chain, sum, mask, depth);
+    pruning_ = true;
+    const unsigned span = 1u << (k_ - bit);
+    for (unsigned rest = 0; rest < span; ++rest) {
+      if (results_[mask | (rest << bit)] >= floor_) {
+        audit::fail("optimal dropper: pruned subset mask " +
+                    std::to_string(mask | (rest << bit)) +
+                    " reaches the selection floor");
+      }
+    }
+  }
+
   const Machine& machine_;
   const std::vector<Task>& tasks_;
   const PetMatrix& pet_;
@@ -100,6 +156,9 @@ class SubsetEnumerator {
   PmfWorkspace& ws_;
   std::vector<Pmf>& chain_stack_;
   std::vector<double>& results_;
+  std::uint64_t& audit_counter_;
+  double floor_ = 0.0;
+  bool pruning_ = true;
 };
 
 }  // namespace
@@ -121,7 +180,7 @@ void OptimalDropper::run(SystemView& view, SchedulerOps& ops) {
 
     SubsetEnumerator enumerator(machine, *view.tasks, *view.pet,
                                 view.approx_pet, model, droppable_count, ws_,
-                                chain_stack_, results_);
+                                chain_stack_, results_, audit_counter_);
     enumerator.enumerate();
 
     unsigned best_mask = 0;
@@ -133,8 +192,8 @@ void OptimalDropper::run(SystemView& view, SchedulerOps& ops) {
       const int popcount = __builtin_popcount(mask);
       // Strictly better, or equal with fewer drops. A small epsilon keeps
       // floating-point ties from flapping toward needless drops.
-      if (r > best_robustness + 1e-12 ||
-          (r > best_robustness - 1e-12 && popcount < best_popcount)) {
+      if (r > best_robustness + kTieEps ||
+          (r > best_robustness - kTieEps && popcount < best_popcount)) {
         best_robustness = r;
         best_mask = mask;
         best_popcount = popcount;

@@ -26,6 +26,14 @@ namespace taskdrop {
 /// chain) instead of once per subset; every subset's robustness is still
 /// evaluated with the exact summation order of the direct walk, so the
 /// selected subset is bit-identical.
+///
+/// The tree is searched branch-and-bound: a subtree whose running sum plus
+/// window_chance_bound over its remaining positions falls below
+/// keep_all - 2^(k+1) * 1e-12 (no subset there can ever win the selection,
+/// tie tolerance included) is skipped without building its chains and its
+/// masks are recorded as -infinity. TASKDROP_AUDIT builds enumerate sampled
+/// pruned subtrees in full and fail if any of their masks reaches that
+/// floor.
 class OptimalDropper final : public Dropper {
  public:
   std::string_view name() const override { return "Optimal"; }
@@ -40,6 +48,8 @@ class OptimalDropper final : public Dropper {
   PmfWorkspace ws_;
   std::vector<Pmf> chain_stack_;
   std::vector<double> results_;
+  /// TASKDROP_AUDIT sampling counter for the pruned-subtree check.
+  std::uint64_t audit_counter_ = 0;
 };
 
 }  // namespace taskdrop

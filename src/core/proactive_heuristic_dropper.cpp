@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/audit.hpp"
+
 namespace taskdrop {
 
 ProactiveHeuristicDropper::ProactiveHeuristicDropper(Params params)
@@ -45,13 +47,30 @@ void ProactiveHeuristicDropper::run(SystemView& view, SchedulerOps& ops) {
 
       // R_drop = sum_{n=i+1}^{i+eta} p^(i)_nj: the same window, excluding
       // task i itself, with the chain re-rooted at i's predecessor
-      // (Eqs. 4–6).
+      // (Eqs. 4–6). Its bound costs a prefix sum per position instead of a
+      // convolution; when even the bound cannot beat beta * R_keep, Eq. 8
+      // cannot fire and the provisional chain is never built.
+      const Pmf& pred = model.predecessor(pos);
+      const double threshold = params_.beta * keep_sum;
+      const double bound = window_chance_bound(pred, machine, *view.tasks,
+                                               pos + 1, window_end);
+      if (bound <= threshold) {
+        if (audit::due(audit_counter_)) {
+          const double drop_sum =
+              window_chance_sum(pred, machine, *view.tasks, *view.pet,
+                                pos + 1, window_end, view.approx_pet, &ws_);
+          audit_pruned_window(machine, *view.tasks, *view.pet,
+                              view.approx_pet, pos + 1, window_end, drop_sum,
+                              bound, threshold, "heuristic dropper");
+        }
+        ++pos;
+        continue;
+      }
       const double drop_sum =
-          window_chance_sum(model.predecessor(pos), machine, *view.tasks,
-                            *view.pet, pos + 1, window_end, view.approx_pet,
-                            &ws_);
+          window_chance_sum(pred, machine, *view.tasks, *view.pet, pos + 1,
+                            window_end, view.approx_pet, &ws_);
 
-      if (drop_sum > params_.beta * keep_sum) {
+      if (drop_sum > threshold) {
         ops.drop_queued_task(machine.id, pos);
         // Re-examine the task that just shifted into `pos`.
       } else {

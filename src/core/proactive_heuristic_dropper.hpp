@@ -24,6 +24,16 @@ namespace taskdrop {
 /// The running task is never dropped (no preemption, section III); the last
 /// task of a queue has an empty influence zone and is skipped (section
 /// IV-D). No user threshold is involved — the mechanism is autonomous.
+///
+/// Every chance on the left-hand side is a probability mass, and execution
+/// times are >= 0, so each is at most min(1, mass of i's predecessor before
+/// its deadline) — see window_chance_bound. That bound costs one prefix sum
+/// per position; when it is already at most beta * R_keep, Eq. 8 cannot
+/// fire and the provisional chain (eta convolutions) is never built. The
+/// bound holds for the computed, rounded sums too, so decisions are
+/// bit-identical to evaluating every window; TASKDROP_AUDIT builds evaluate
+/// sampled pruned windows anyway and fail if one exceeded its bound or
+/// would have fired.
 class ProactiveHeuristicDropper final : public Dropper {
  public:
   struct Params {
@@ -51,6 +61,8 @@ class ProactiveHeuristicDropper final : public Dropper {
   std::vector<std::uint64_t> examined_versions_;
   /// Scratch for the provisional-drop chains of Eqs. 4–6.
   PmfWorkspace ws_;
+  /// TASKDROP_AUDIT sampling counter for the pruned-window check.
+  std::uint64_t audit_counter_ = 0;
 };
 
 }  // namespace taskdrop

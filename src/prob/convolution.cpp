@@ -6,12 +6,40 @@
 #include <vector>
 
 #include "prob/fft.hpp"
+#include "util/audit.hpp"
 
 namespace taskdrop {
 namespace {
 
 /// Matches Pmf::trim's epsilon: bins at or below this are support noise.
 constexpr double kEps = 1e-12;
+
+/// TASKDROP_AUDIT sampling counter of the FFT-path mass check; per thread,
+/// because the kernels are free functions shared by the sweep's workers.
+thread_local std::uint64_t t_audit_fft_counter = 0;
+
+double mass_of(const double* p, std::size_t n) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum += p[i];
+  return sum;
+}
+
+/// TASKDROP_AUDIT check of the FFT path (sampled): the na + nb - 1 bins
+/// the transform wrote to `out` carry the product of the operands' masses
+/// within the PMF mass invariant (pmf.hpp: 1e-9), so a chain built from
+/// proper PMFs stays at mass <= 1 + 1e-9 per step. Rounding noise of the
+/// transform is far below that; a breach means the kernel manufactured
+/// mass.
+void audit_fft_mass(const double* out, const double* a, std::size_t na,
+                    const double* b, std::size_t nb) {
+  if (!audit::due(t_audit_fft_counter)) return;
+  const double expected = mass_of(a, na) * mass_of(b, nb);
+  const double got = mass_of(out, na + nb - 1);
+  if (got > expected + 1e-9 * std::max(1.0, expected)) {
+    audit::fail("FFT convolution produced mass " + std::to_string(got) +
+                " above the operands' product " + std::to_string(expected));
+  }
+}
 
 /// o[j] += s * x[j]. The accumulation buffer is workspace-owned scratch and
 /// never aliases a PMF's probability storage, so the restrict qualification
@@ -94,6 +122,7 @@ void convolve_into(const Pmf& a, const Pmf& b, PmfWorkspace& ws, Pmf& out) {
     // Wide-PMF regime: O(n log n) FFT convolution. acc has exactly
     // size(a) + size(b) - 1 bins here, the full product support.
     ws.fft.convolve(a.data(), a.size(), b.data(), b.size(), acc.data());
+    audit_fft_mass(acc.data(), a.data(), a.size(), b.data(), b.size());
   } else {
     // Both inputs share the stride, so bin i of `a` against bin j of `b`
     // lands exactly on bin i + j: the inner loop is a contiguous
@@ -190,6 +219,7 @@ void deadline_convolve_into(const Pmf& pred, const Pmf& exec, Tick deadline,
     // writes each of those bins exactly once and the pass-through loop
     // below adds on top, matching the direct path's accumulation.
     ws.fft.convolve(pred.data(), split, pe, ne, acc.data() + conv_base);
+    audit_fft_mass(acc.data() + conv_base, pred.data(), split, pe, ne);
   } else {
     for (std::size_t i = 0; i < split; ++i) {
       const double pk = pred.prob_at_index(i);

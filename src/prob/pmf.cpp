@@ -2,9 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+
+#include "util/audit.hpp"
 
 namespace taskdrop {
+namespace {
+
+/// TASKDROP_AUDIT sampling counter of the lump_tail mass check (per thread:
+/// PMFs are built concurrently by the sweep's workers).
+thread_local std::uint64_t t_audit_lump_counter = 0;
+
+}  // namespace
 
 Pmf Pmf::delta(Tick t) { return Pmf(t, 1, {1.0}); }
 
@@ -158,8 +169,19 @@ void Pmf::lump_tail(Tick horizon) {
   if (first >= probs_.size()) return;
   double tail = 0.0;
   for (std::size_t i = first; i < probs_.size(); ++i) tail += probs_[i];
+  const double before = audit::kEnabled ? total_mass() : 0.0;
   probs_.resize(first + 1);
   probs_[first] = tail;
+  if (audit::due(t_audit_lump_counter)) {
+    // Lumping only moves mass: the total may differ from before by the
+    // rounding of the two summation orders, never by the 1e-9 of the PMF
+    // mass invariant.
+    const double after = total_mass();
+    if (after > before + 1e-9 * std::max(1.0, before)) {
+      audit::fail("lump_tail grew the PMF's mass from " +
+                  std::to_string(before) + " to " + std::to_string(after));
+    }
+  }
 }
 
 void Pmf::add_impulse(Tick t, double p) {

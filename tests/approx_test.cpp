@@ -1,13 +1,19 @@
 // Approximate-computing extension tests (section VI future work).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/approx_dropper.hpp"
 #include "core/sandbox.hpp"
 #include "exp/experiment.hpp"
 #include "pet/pet_builder.hpp"
+#include "prob/convolution.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenario.hpp"
 
@@ -130,6 +136,98 @@ TEST(ApproxDropper, DowngradeIsIdempotentPerTask) {
   dropper.run(sandbox->view(), *sandbox);
   dropper.run(sandbox->view(), *sandbox);
   EXPECT_EQ(sandbox->downgraded.size(), 1u);  // not downgraded twice
+}
+
+/// The approx dropper's pass with no bound: both options' weighted window
+/// utilities evaluated at every examined position of machine 0, with the
+/// allocating kernels, exactly as the dropper decided before pruning.
+void unpruned_approx_pass(SystemSandbox& sandbox, const PetMatrix& approx,
+                          int eta, double beta) {
+  Machine& machine = sandbox.machine(0);
+  CompletionModel& model = sandbox.model(0);
+  const std::vector<Task>& tasks = *sandbox.view().tasks;
+  const PetMatrix& pet = *sandbox.view().pet;
+  const double weight = sandbox.view().approx_weight;
+  const auto utility = [&](const Pmf& pred, std::size_t first,
+                           std::size_t last, std::size_t skipped,
+                           std::size_t downgraded) {
+    Pmf chain = pred;
+    double sum = 0.0;
+    for (std::size_t i = first; i <= last; ++i) {
+      if (i == skipped) continue;
+      const Task& task = tasks[static_cast<std::size_t>(machine.queue[i])];
+      const bool approx_mode = task.approximate || i == downgraded;
+      const PetMatrix& cells = approx_mode ? approx : pet;
+      chain = deadline_convolve(chain, cells.pmf(task.type, machine.type),
+                                task.deadline);
+      sum += (approx_mode ? weight : 1.0) * chain.mass_before(task.deadline);
+    }
+    return sum;
+  };
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::size_t pos = machine.first_pending_pos();
+  while (pos < machine.queue.size()) {
+    const bool is_last = pos + 1 == machine.queue.size();
+    const std::size_t window_end = std::min(
+        pos + static_cast<std::size_t>(eta), machine.queue.size() - 1);
+    const Task& task = tasks[static_cast<std::size_t>(machine.queue[pos])];
+    const Pmf& pred = model.predecessor(pos);
+    double keep = 0.0;
+    for (std::size_t n = pos; n <= window_end; ++n) {
+      const Task& kept = tasks[static_cast<std::size_t>(machine.queue[n])];
+      keep += (kept.approximate ? weight : 1.0) * model.chance(n);
+    }
+    const double drop =
+        is_last ? -1.0 : utility(pred, pos, window_end, pos, kNone);
+    const double downgrade =
+        task.approximate ? -1.0 : utility(pred, pos, window_end, kNone, pos);
+    if (std::max(drop, downgrade) > beta * keep) {
+      if (drop >= downgrade) {
+        sandbox.drop_queued_task(machine.id, pos);
+        continue;
+      }
+      sandbox.downgrade_task(machine.id, pos);
+    }
+    ++pos;
+  }
+}
+
+TEST(ApproxDropper, PrunedPassMatchesUnprunedOnRandomQueues) {
+  // Differential over random multi-bin queues: the bound-pruned dropper
+  // must drop and downgrade exactly the tasks the full evaluation does.
+  int decisions = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const PetMatrix pet = test::random_pet(rng, 4);
+    const PetMatrix approx = scaled_pet(pet, 0.5);
+    CompletionModel::Options options;
+    options.approx_pet = &approx;
+    const int depth = static_cast<int>(rng.uniform_int(1, 7));
+    const int eta = static_cast<int>(rng.uniform_int(1, 3));
+    const double beta = rng.uniform01() < 0.5 ? 1.0 : 1.3;
+    const bool running = rng.uniform01() < 0.4;
+
+    SystemSandbox expected(pet, {0}, depth + 1, 0, options);
+    SystemSandbox actual(pet, {0}, depth + 1, 0, options);
+    for (int i = 0; i < depth; ++i) {
+      const auto type = static_cast<TaskTypeId>(rng.uniform_int(0, 3));
+      const Tick deadline = rng.uniform_int(2, 40);
+      expected.enqueue(0, type, deadline);
+      actual.enqueue(0, type, deadline);
+    }
+    if (running) {
+      expected.set_running(0, 0);
+      actual.set_running(0, 0);
+    }
+    unpruned_approx_pass(expected, approx, eta, beta);
+    ApproxDropper dropper(ApproxDropper::Params{eta, beta});
+    dropper.run(actual.view(), actual);
+    EXPECT_EQ(actual.dropped, expected.dropped) << "seed " << seed;
+    EXPECT_EQ(actual.downgraded, expected.downgraded) << "seed " << seed;
+    decisions += static_cast<int>(actual.dropped.size() +
+                                  actual.downgraded.size());
+  }
+  EXPECT_GT(decisions, 20);
 }
 
 // ----------------------- engine integration --------------------------

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -150,6 +151,42 @@ TEST(Audit, AuditedRunMatchesUnauditedRun) {
   }
   EXPECT_EQ(audited.makespan, baseline.makespan);
   EXPECT_EQ(audited.busy_ticks, baseline.busy_ticks);
+}
+
+TEST(Audit, PrunedDropperWindowsSurviveDenseAudit) {
+  // Every proactive dropper skips the windows and subtrees its bound rules
+  // out; with every audit gate firing, each skip is evaluated anyway and
+  // must be within its bound and leave the decision unfired — and the
+  // audited run must decide exactly like the sampled one. Tight deadlines
+  // keep the queues contested, so both outcomes of each bound occur.
+  const PetMatrix pet = pet_of({{{{2, 0.4}, {6, 0.4}, {16, 0.2}}},
+                                {{{3, 0.6}, {9, 0.3}, {18, 0.1}}}});
+  Trace trace;
+  for (int i = 0; i < 80; ++i) {
+    trace.push_back({static_cast<TaskTypeId>(i % 2), Tick{i},
+                     Tick{i + 12 + (i % 5) * 4}});
+  }
+  const auto run_once = [&](const std::string& dropper_name) {
+    auto mapper = make_mapper("PAM");
+    auto dropper = make_dropper(DropperConfig::from_spec(dropper_name));
+    EngineConfig config;
+    config.queue_capacity = 5;
+    config.approx.enabled = dropper_name == "approx";
+    Engine engine(pet, {0, 0}, *mapper, *dropper, config);
+    return engine.run(trace);
+  };
+  for (const std::string name : {"heuristic", "optimal", "approx"}) {
+    const SimResult baseline = run_once(name);
+    IntervalGuard guard;
+    if (audit::kEnabled) audit::set_interval_for_testing(1);
+    const SimResult audited = run_once(name);
+    ASSERT_EQ(audited.tasks.size(), baseline.tasks.size()) << name;
+    for (std::size_t i = 0; i < baseline.tasks.size(); ++i) {
+      EXPECT_EQ(audited.tasks[i].state, baseline.tasks[i].state)
+          << name << " task " << i;
+    }
+    EXPECT_EQ(audited.makespan, baseline.makespan) << name;
+  }
 }
 
 TEST(Audit, AuditedOnlineRunMatchesUnauditedRun) {

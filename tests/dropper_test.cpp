@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/null_dropper.hpp"
 #include "core/sandbox.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace taskdrop {
 namespace {
 
 using test::pet_of;
+using test::random_pet;
 
 /// Task types on one machine type:
 ///   0 "big":    {10: 1.0}
@@ -213,6 +219,137 @@ TEST(HeuristicDropper, MultiMachinePassCoversAllQueues) {
   EXPECT_EQ(sandbox.dropped.size(), 2u);
   EXPECT_EQ(sandbox.machine(0).queue.size(), 2u);
   EXPECT_EQ(sandbox.machine(1).queue.size(), 2u);
+}
+
+TEST(WindowChanceBound, TightWhenEveryChanceIsOne) {
+  // Idle machine, certain small tasks with slack: every chance of the
+  // provisional window is exactly 1, and so is every min(1, mass) term —
+  // the bound exceeds the sum by its per-step slack only.
+  const PetMatrix pet = dropper_pet();
+  SystemSandbox sandbox(pet, {0}, 6);
+  for (int i = 0; i < 4; ++i) sandbox.enqueue(0, /*type=*/1, 100 + i);
+  CompletionModel& model = sandbox.model(0);
+  const Machine& machine = sandbox.machine(0);
+  const std::vector<Task>& tasks = *sandbox.view().tasks;
+  const Pmf& pred = model.predecessor(0);
+  const double sum = window_chance_sum(pred, machine, tasks, pet, 1, 3);
+  const double bound = window_chance_bound(pred, machine, tasks, 1, 3);
+  EXPECT_EQ(sum, 3.0);
+  EXPECT_GE(bound, sum);
+  EXPECT_NEAR(bound, 3.0 + (1 + 2 + 3) * kWindowBoundEps, 1e-15);
+}
+
+TEST(WindowChanceBound, ZeroExactlyWhenDeadlinesPrecedeTheRoot) {
+  // A root entirely at or after every deadline: no slot of the window can
+  // succeed, and the bound says so without any slack.
+  const PetMatrix pet = dropper_pet();
+  SystemSandbox sandbox(pet, {0}, 6, /*now=*/50);
+  sandbox.enqueue(0, 1, 60);
+  sandbox.enqueue(0, 1, 40);
+  sandbox.enqueue(0, 3, 50);
+  const Pmf& pred = sandbox.model(0).predecessor(0);
+  const std::vector<Task>& tasks = *sandbox.view().tasks;
+  EXPECT_EQ(window_chance_bound(pred, sandbox.machine(0), tasks, 1, 2), 0.0);
+  EXPECT_EQ(window_chance_sum(pred, sandbox.machine(0), tasks, pet, 1, 2),
+            0.0);
+}
+
+TEST(HeuristicDropper, BoundEqualToBetaKeepStillEvaluatesEq8) {
+  // eta = 1, beta = 1. The big head (10 ticks, deadline 11) succeeds and
+  // pushes the small successor (deadline 10) past its deadline, so
+  // R_keep = 1 + 0. Dropping the head rescues the successor: R_drop = 1,
+  // and the bound's min(1, mass) sum is 1 as well — equal to beta * R_keep.
+  // Only the slack keeps the window from being pruned, and Eq. 8's strict
+  // '>' then keeps the head.
+  const PetMatrix pet = dropper_pet();
+  SystemSandbox sandbox(pet, {0}, 6);
+  sandbox.enqueue(0, /*type=*/0, 11);
+  sandbox.enqueue(0, /*type=*/1, 10);
+  CompletionModel& model = sandbox.model(0);
+  const double keep_sum = model.chance(0) + model.chance(1);
+  ASSERT_EQ(keep_sum, 1.0);
+  const std::vector<Task>& tasks = *sandbox.view().tasks;
+  const Pmf& pred = model.predecessor(0);
+  EXPECT_EQ(window_chance_sum(pred, sandbox.machine(0), tasks, pet, 1, 1),
+            1.0);
+  EXPECT_GT(window_chance_bound(pred, sandbox.machine(0), tasks, 1, 1),
+            keep_sum);
+
+  ProactiveHeuristicDropper dropper(ProactiveHeuristicDropper::Params{1, 1.0});
+  dropper.run(sandbox.view(), sandbox);
+  EXPECT_TRUE(sandbox.dropped.empty());
+}
+
+/// The Eq. 8 pass with no bound: window_chance_sum at every examined
+/// position of machine 0, exactly as the dropper evaluated it before
+/// pruning. Also checks that the bound holds at every position.
+void unpruned_heuristic_pass(SystemSandbox& sandbox, int eta, double beta) {
+  Machine& machine = sandbox.machine(0);
+  CompletionModel& model = sandbox.model(0);
+  const std::vector<Task>& tasks = *sandbox.view().tasks;
+  const PetMatrix& pet = *sandbox.view().pet;
+  std::size_t pos = machine.first_pending_pos();
+  while (pos + 1 < machine.queue.size()) {
+    const std::size_t window_end = std::min(
+        pos + static_cast<std::size_t>(eta), machine.queue.size() - 1);
+    double keep_sum = 0.0;
+    for (std::size_t n = pos; n <= window_end; ++n) keep_sum += model.chance(n);
+    const Pmf& pred = model.predecessor(pos);
+    const double drop_sum =
+        window_chance_sum(pred, machine, tasks, pet, pos + 1, window_end);
+    EXPECT_LE(drop_sum,
+              window_chance_bound(pred, machine, tasks, pos + 1, window_end));
+    if (drop_sum > beta * keep_sum) {
+      sandbox.drop_queued_task(machine.id, pos);
+    } else {
+      ++pos;
+    }
+  }
+}
+
+TEST(HeuristicDropper, PrunedPassMatchesUnprunedOnRandomQueues) {
+  // Differential: the pruned dropper against the unpruned reference pass,
+  // on random multi-bin queues. Every third queue repeats one (type,
+  // deadline) pair, which makes R_drop and beta * R_keep tie exactly.
+  const double betas[] = {1.0, 1.0 + 1e-12, 1.25, 2.0};
+  const int etas[] = {1, 2, 3, 5};
+  int drops = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(seed);
+    const PetMatrix pet = random_pet(rng, 4);
+    const int depth = static_cast<int>(rng.uniform_int(2, 8));
+    const bool repeat = seed % 3 == 0;
+    const auto repeat_type = static_cast<TaskTypeId>(rng.uniform_int(0, 3));
+    const Tick repeat_deadline = rng.uniform_int(4, 30);
+    std::vector<std::pair<TaskTypeId, Tick>> specs;
+    for (int i = 0; i < depth; ++i) {
+      specs.emplace_back(
+          repeat ? repeat_type : static_cast<TaskTypeId>(rng.uniform_int(0, 3)),
+          repeat ? repeat_deadline : rng.uniform_int(2, 40));
+    }
+    const bool running = rng.uniform01() < 0.5;
+    const int eta = etas[rng.uniform_int(0, 3)];
+    const double beta = betas[rng.uniform_int(0, 3)];
+
+    SystemSandbox expected(pet, {0}, depth + 1);
+    SystemSandbox actual(pet, {0}, depth + 1);
+    for (const auto& [type, deadline] : specs) {
+      expected.enqueue(0, type, deadline);
+      actual.enqueue(0, type, deadline);
+    }
+    if (running) {
+      expected.set_running(0, 0);
+      actual.set_running(0, 0);
+    }
+    unpruned_heuristic_pass(expected, eta, beta);
+    ProactiveHeuristicDropper dropper(
+        ProactiveHeuristicDropper::Params{eta, beta});
+    dropper.run(actual.view(), actual);
+    EXPECT_EQ(actual.dropped, expected.dropped) << "seed " << seed;
+    drops += static_cast<int>(actual.dropped.size());
+  }
+  // The differential must exercise both outcomes of Eq. 8.
+  EXPECT_GT(drops, 20);
 }
 
 TEST(NullDropper, NeverDropsAnything) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/proactive_heuristic_dropper.hpp"
@@ -196,6 +197,34 @@ std::vector<TaskId> reference_best_drops(SystemSandbox& sandbox) {
   return drops;
 }
 
+/// Runs the dropper and the direct reference on twin sandboxes holding
+/// `specs` and requires the same dropped task set.
+void expect_matches_direct_evaluation(
+    const PetMatrix& pet, const std::vector<std::pair<TaskTypeId, Tick>>& specs,
+    bool running, std::uint64_t seed) {
+  const int depth = static_cast<int>(specs.size());
+  SystemSandbox expected(pet, {0}, depth + 1);
+  SystemSandbox actual(pet, {0}, depth + 1);
+  for (const auto& [type, deadline] : specs) {
+    expected.enqueue(0, type, deadline);
+    actual.enqueue(0, type, deadline);
+  }
+  if (running) {
+    expected.set_running(0, 0);
+    actual.set_running(0, 0);
+  }
+
+  const std::vector<TaskId> want = reference_best_drops(expected);
+  OptimalDropper dropper;
+  dropper.run(actual.view(), actual);
+  // The dropper applies back-to-front; compare as sets of task ids.
+  std::vector<TaskId> got = actual.dropped;
+  std::sort(got.begin(), got.end());
+  std::vector<TaskId> want_sorted = want;
+  std::sort(want_sorted.begin(), want_sorted.end());
+  EXPECT_EQ(got, want_sorted) << "seed " << seed;
+}
+
 TEST(OptimalDropper, MatchesDirectSubsetEvaluationOnRandomQueues) {
   const PetMatrix pet = dropper_pet();
   for (std::uint64_t seed = 500; seed < 560; ++seed) {
@@ -207,27 +236,34 @@ TEST(OptimalDropper, MatchesDirectSubsetEvaluationOnRandomQueues) {
                          rng.uniform_int(2, 40));
     }
     const bool running = rng.uniform01() < 0.5;
-
-    SystemSandbox expected(pet, {0}, depth + 1);
-    SystemSandbox actual(pet, {0}, depth + 1);
-    for (const auto& [type, deadline] : specs) {
-      expected.enqueue(0, type, deadline);
-      actual.enqueue(0, type, deadline);
+    expect_matches_direct_evaluation(pet, specs, running, seed);
+  }
+  // Deeper queues, up to 7 droppable positions, where the branch-and-bound
+  // prunes most masks.
+  for (std::uint64_t seed = 600; seed < 640; ++seed) {
+    Rng rng(seed);
+    const int depth = static_cast<int>(rng.uniform_int(6, 8));
+    std::vector<std::pair<TaskTypeId, Tick>> specs;
+    for (int i = 0; i < depth; ++i) {
+      specs.emplace_back(static_cast<TaskTypeId>(rng.uniform_int(0, 3)),
+                         rng.uniform_int(2, 60));
     }
-    if (running) {
-      expected.set_running(0, 0);
-      actual.set_running(0, 0);
+    expect_matches_direct_evaluation(pet, specs, rng.uniform01() < 0.3, seed);
+  }
+  // Near-tie queues: two (type, deadline) pairs repeated, so many subsets
+  // share one robustness bit for bit and the epsilon tie-break toward fewer
+  // drops decides — the selection the pruning floor must not disturb.
+  for (std::uint64_t seed = 700; seed < 740; ++seed) {
+    Rng rng(seed);
+    const int depth = static_cast<int>(rng.uniform_int(3, 8));
+    const std::pair<TaskTypeId, Tick> palette[] = {
+        {static_cast<TaskTypeId>(rng.uniform_int(0, 3)), rng.uniform_int(2, 25)},
+        {static_cast<TaskTypeId>(rng.uniform_int(0, 3)), rng.uniform_int(2, 25)}};
+    std::vector<std::pair<TaskTypeId, Tick>> specs;
+    for (int i = 0; i < depth; ++i) {
+      specs.push_back(palette[rng.uniform_int(0, 1)]);
     }
-
-    const std::vector<TaskId> want = reference_best_drops(expected);
-    OptimalDropper dropper;
-    dropper.run(actual.view(), actual);
-    // The dropper applies back-to-front; compare as sets of task ids.
-    std::vector<TaskId> got = actual.dropped;
-    std::sort(got.begin(), got.end());
-    std::vector<TaskId> want_sorted = want;
-    std::sort(want_sorted.begin(), want_sorted.end());
-    EXPECT_EQ(got, want_sorted) << "seed " << seed;
+    expect_matches_direct_evaluation(pet, specs, rng.uniform01() < 0.3, seed);
   }
 }
 

@@ -1,11 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <initializer_list>
 #include <utility>
 #include <vector>
 
 #include "pet/pet_matrix.hpp"
 #include "prob/pmf.hpp"
+#include "util/rng.hpp"
 
 namespace taskdrop::test {
 
@@ -44,6 +46,26 @@ inline PetMatrix single_cell_pet(
   return pet_of({{std::vector<std::pair<Tick, double>>(impulses.begin(),
                                                        impulses.end())}},
                 stride);
+}
+
+/// Random PET with multi-bin execution PMFs: `types` task types on one
+/// machine type, 1–4 impulses each at 1..16 ticks.
+inline PetMatrix random_pet(Rng& rng, int types) {
+  std::vector<std::vector<std::vector<std::pair<Tick, double>>>> cells;
+  for (int t = 0; t < types; ++t) {
+    const auto bins = static_cast<int>(rng.uniform_int(1, 4));
+    std::vector<std::pair<Tick, double>> impulses;
+    double total = 0.0;
+    for (int b = 0; b < bins; ++b) {
+      const double w = 0.05 + rng.uniform01();
+      impulses.emplace_back(rng.uniform_int(1, 16), w);
+      total += w;
+    }
+    std::sort(impulses.begin(), impulses.end());
+    for (auto& [time, p] : impulses) p /= total;
+    cells.push_back({impulses});
+  }
+  return pet_of(std::move(cells));
 }
 
 }  // namespace taskdrop::test
