@@ -1,9 +1,9 @@
 // Micro benchmarks for the incremental completion-chain machinery on deep
-// queues — the regime the (cell x trial) sweep grids of PR 2 multiply: one
-// mapping event probes every machine's tail (chance_if_appended), appends
+// queues — the regime the (cell x trial) sweep grids multiply: a PAM round
+// probes free machines' tails (chance_if_appended), an assignment appends
 // one task (a single suffix re-convolution under dirty-index tracking), and
-// occasionally re-roots a provisional window chain (the droppers' Eqs. 4-6
-// walk, allocation-free through a PmfWorkspace).
+// a dropper occasionally re-roots a provisional window chain (Eqs. 4-6,
+// allocation-free through a PmfWorkspace).
 #include <benchmark/benchmark.h>
 
 #include <memory>

@@ -9,7 +9,8 @@
 // chance is 1, so each window's bound (window_chance_bound) already rules
 // Eq. 8 out and none is built. What remains per event is the chain
 // rebuild, the dropper's per-position bound (one prefix sum per window
-// slot), and PAM's appended-distribution probe for the arrival.
+// slot), and PAM's phase-2 key for the arrival: with one free machine and
+// no deferral PAM maps without probing the appended distribution.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

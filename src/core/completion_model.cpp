@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <limits>
-#include <stdexcept>
 #include <string>
 
 #include "prob/convolution.hpp"
@@ -339,15 +338,12 @@ CompletionModel::AppendedSlot& CompletionModel::appended_slot(
   // {tail bin + exec bin}, which (deltas aside) all lie on the lattice
   // {tail.min + exec.min + i*stride} — so one cached evaluation per lattice
   // cell reproduces the direct fold at *every* deadline, bit for bit.
-  const Pmf& pred = machine_->queue.empty()
-                        ? base_
-                        : completion(machine_->queue.size() - 1);
+  const Pmf& pred = tail();
   const Pmf& exec = pet_->pmf(type, machine_->type);
   slot.incompatible =
       pred.size() > 1 && exec.size() > 1 && pred.stride() != exec.stride();
   slot.revision = chain_version_;
   slot.stamped = true;
-  slot.view_ready = false;
   if (slot.incompatible) return slot;
   slot.stride = pred.size() > 1
                     ? pred.stride()
@@ -431,42 +427,6 @@ double CompletionModel::chance_if_appended(TaskTypeId type, Tick deadline) {
     }
   }
   return result;
-}
-
-const PmfCdf& CompletionModel::appended_view(TaskTypeId type) {
-  if (machine_->queue.empty()) {
-    // Build a transient-lattice slot rooted at the idle base delta(now_).
-    // The queue is empty, so the revision stamp alone cannot witness `now`
-    // changes; force a rebuild instead of trusting the stamp.
-    AppendedSlot& slot = appended_slot(type);
-    slot.stamped = false;  // never reuse across calls
-    if (slot.incompatible) {
-      throw std::invalid_argument(
-          "appended_view: tail/execution stride mismatch");
-    }
-    auto& prefix =
-        slot.view.rebuild_prefix(slot.offset, slot.stride,
-                                 slot.value.size() - 1);
-    for (std::size_t i = 0; i < slot.value.size(); ++i) {
-      prefix[i] = direct_chance_if_appended(
-          type, slot.offset + static_cast<Tick>(i) * slot.stride);
-    }
-    return slot.view;
-  }
-  AppendedSlot& slot = appended_slot(type);
-  if (slot.incompatible) {
-    throw std::invalid_argument(
-        "appended_view: tail/execution stride mismatch");
-  }
-  if (!slot.view_ready) {
-    auto& prefix = slot.view.rebuild_prefix(slot.offset, slot.stride,
-                                            slot.value.size() - 1);
-    for (std::size_t i = 0; i < slot.value.size(); ++i) {
-      prefix[i] = appended_cell(slot, type, i);
-    }
-    slot.view_ready = true;
-  }
-  return slot.view;
 }
 
 double window_chance_sum(const Pmf& pred, const Machine& machine,

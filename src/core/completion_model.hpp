@@ -37,9 +37,10 @@ namespace taskdrop {
 /// On top of the chain cache sits a revision-keyed appended-distribution
 /// cache: the provisional "what if a task of type t were appended here"
 /// distribution depends only on (machine state, task type) — a candidate's
-/// deadline is just a CDF evaluation point — so its cumulative table is
-/// built at most once per (machine, task type) per revision and every
-/// further probe is an O(1) lookup (chance_if_appended / appended_view).
+/// deadline is just a CDF evaluation point — so chance_if_appended fills
+/// its cumulative table lazily, one cell per (machine, task type, deadline
+/// cell) per revision, and a repeated probe of a filled cell is an O(1)
+/// lookup.
 ///
 /// The model reads the machine's queue and the global task table at query
 /// time; the engine owns both and calls invalidate_* on every structural
@@ -155,31 +156,19 @@ class CompletionModel {
   /// same summation order so probe and chain decisions stay bit-compatible.
   ///
   /// The dot product is memoised per (task type, deadline lattice cell)
-  /// into the revision-keyed appended-distribution cache (see
-  /// appended_view): the appended chance is piecewise constant between
-  /// points of the combined tail x execution lattice, so one evaluation
-  /// per cell serves every deadline that snaps to it. A mapping-event scan
+  /// into the revision-keyed appended-distribution cache (AppendedSlot):
+  /// the appended chance is piecewise constant between points of the
+  /// combined tail x execution lattice, so one evaluation per cell serves
+  /// every deadline that snaps to it. A mapping-event scan
   /// that probes the same (machine, task) pair across successive PAM
   /// rounds — or across events that leave this queue untouched — pays the
   /// O(|tail|) fold once and O(1) afterwards, bit-identically.
   double chance_if_appended(TaskTypeId type, Tick deadline);
 
-  /// Cumulative view of the appended-completion distribution for `type`:
-  /// mass_before(d) is exactly chance_if_appended(type, d) for every d.
-  /// Built at most once per (machine, task type) per revision into
-  /// per-model cached storage; a phase-1 scan evaluating one view at many
-  /// deadlines is a few table builds plus O(1) lookups instead of one
-  /// tail-fold per (candidate, machine) pair. Throws std::invalid_argument
-  /// when the tail and execution lattices are incompatible (mixed strides
-  /// — never the case for PMFs built by one scenario). The reference is
-  /// valid until the next mutation of this machine's queue.
-  const PmfCdf& appended_view(TaskTypeId type);
-
  private:
   /// Per-(task type) appended-distribution cache entry. `value[i]` holds
   /// the appended chance at combined-lattice point offset + i*stride,
-  /// filled lazily cell by cell (chance_if_appended) or fully
-  /// (appended_view); `known` tracks which cells are filled.
+  /// filled lazily cell by cell; `known` tracks which cells are filled.
   ///
   /// Cell evaluation is O(|exec|) instead of the direct fold's O(|tail|):
   /// in the ascending-time dot product sum_i p_i * E(d - k_i), every tail
@@ -200,8 +189,6 @@ class CompletionModel {
     /// the lifetime of the stamp (invalidations restamp before reuse).
     const Pmf* pred = nullptr;
     const Pmf* exec = nullptr;
-    PmfCdf view;
-    bool view_ready = false;
     /// Tail/exec stride mismatch: fall back to direct evaluation.
     bool incompatible = false;
     std::uint64_t revision = 0;

@@ -28,18 +28,6 @@ void PmfCdf::rebuild(const Pmf& pmf) {
   }
 }
 
-std::vector<double>& PmfCdf::rebuild_prefix(Tick offset, Tick stride,
-                                            std::size_t bins) {
-  if (stride < 1) {
-    throw std::invalid_argument(
-        "PmfCdf::rebuild_prefix: stride must be >= 1");
-  }
-  offset_ = offset;
-  stride_ = stride;
-  prefix_.resize(bins + 1);
-  return prefix_;
-}
-
 Tick CdfSampler::sample(Rng& rng) const {
   if (!valid()) {
     throw std::logic_error("CdfSampler::sample: empty distribution");

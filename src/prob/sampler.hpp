@@ -51,17 +51,6 @@ class PmfCdf {
   /// values to Pmf::mass_before on the source PMF.
   void rebuild(const Pmf& pmf);
 
-  /// Resets the view to `bins` lattice bins at (offset, stride) and returns
-  /// the prefix array (size bins + 1) for the caller to fill. Entry i is
-  /// the value mass_before reports for every query time in
-  /// (offset + (i-1)*stride, offset + i*stride]; entry 0 must be 0 and the
-  /// entries must be monotone for the result to behave like a CDF. This is
-  /// how CompletionModel::appended_view caches externally computed
-  /// cumulative evaluations on the combined queue-tail x execution lattice
-  /// without materialising the underlying PMF.
-  std::vector<double>& rebuild_prefix(Tick offset, Tick stride,
-                                      std::size_t bins);
-
   bool valid() const { return !prefix_.empty(); }
 
   /// P(X < t), identical to Pmf::mass_before on the source PMF. Inline:

@@ -30,10 +30,10 @@ double expected_completion_mean(SystemView& view, MachineId machine,
   return model.tail_mean() + view.pet->mean_execution(task.type, m.type);
 }
 
-std::vector<CandidatePair> min_completion_pairs(
-    SystemView& view, const std::vector<MachineId>& free_machines,
-    int window) {
-  std::vector<CandidatePair> pairs;
+void min_completion_pairs(SystemView& view,
+                          const std::vector<MachineId>& free_machines,
+                          int window, std::vector<CandidatePair>& out) {
+  out.clear();
   for (TaskId id : candidate_window(view, window)) {
     const Task& task = view.task(id);
     CandidatePair best;
@@ -43,9 +43,8 @@ std::vector<CandidatePair> min_completion_pairs(
         best = CandidatePair{id, m, ect};
       }
     }
-    if (best.machine >= 0) pairs.push_back(best);
+    if (best.machine >= 0) out.push_back(best);
   }
-  return pairs;
 }
 
 }  // namespace mapper_detail

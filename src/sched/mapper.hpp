@@ -108,10 +108,13 @@ struct CandidatePair {
   double expected_completion = 0.0;
 };
 
-/// First phase shared by MinMin and MSD: for every candidate task, the free
-/// machine offering the minimum expected completion time.
-std::vector<CandidatePair> min_completion_pairs(
-    SystemView& view, const std::vector<MachineId>& free_machines, int window);
+/// First phase shared by MinMin, MaxMin and MSD: refills `out` with, for
+/// every candidate task, the free machine offering the minimum expected
+/// completion time (the mappers keep `out` as scratch across rounds, so
+/// steady-state rounds allocate nothing).
+void min_completion_pairs(SystemView& view,
+                          const std::vector<MachineId>& free_machines,
+                          int window, std::vector<CandidatePair>& out);
 
 }  // namespace mapper_detail
 }  // namespace taskdrop

@@ -23,6 +23,8 @@ class MaxMinMapper final : public Mapper {
   int window_;
   /// Free-machine scratch reused across the rounds of a mapping event.
   std::vector<MachineId> free_machines_;
+  /// Phase-1 pair scratch, likewise reused across rounds.
+  std::vector<mapper_detail::CandidatePair> pairs_;
 };
 
 }  // namespace taskdrop

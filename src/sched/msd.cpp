@@ -8,8 +8,9 @@ void MsdMapper::map_tasks(SystemView& view, SchedulerOps& ops) {
     mapper_detail::machines_with_free_slot(view, free_machines_);
     const auto& free_machines = free_machines_;
     if (free_machines.empty() || view.batch_queue->empty()) return;
-    const auto pairs =
-        mapper_detail::min_completion_pairs(view, free_machines, window_);
+    mapper_detail::min_completion_pairs(view, free_machines, window_,
+                                        pairs_);
+    const auto& pairs = pairs_;
     if (pairs.empty()) return;
 
     bool assigned_any = false;

@@ -1,7 +1,7 @@
 // Differential lockdown for the revision-keyed appended-distribution cache:
-// chance_if_appended and appended_view must reproduce the pre-cache direct
-// computation — the ascending-time dot product of the cached tail PMF
-// against the execution CDF — at every deadline, across random machine
+// chance_if_appended must reproduce the pre-cache direct computation — the
+// ascending-time dot product of the cached tail PMF against the execution
+// CDF — at every deadline, across random machine
 // states, revisions and type sets, including every cache-invalidation-
 // after-mutation path (enqueue, drop, start, time advance).
 #include <gtest/gtest.h>
@@ -61,8 +61,8 @@ PetMatrix random_pet(Rng& rng, int types, Tick stride) {
 }
 
 /// Probes every type over a deadline sweep spanning (and overshooting) the
-/// appended support, both through the lazy memo (chance_if_appended) and
-/// the eager table (appended_view), against the direct reference.
+/// appended support, through the lazy memo (chance_if_appended) on a cold
+/// and on a filled cell, against the direct reference.
 void expect_probes_match(SystemSandbox& sandbox, const PetMatrix& pet,
                          Tick now, Tick horizon, Tick step,
                          const char* label) {
@@ -78,9 +78,6 @@ void expect_probes_match(SystemSandbox& sandbox, const PetMatrix& pet,
       // Repeat once more to hit the filled memo cell.
       ASSERT_DOUBLE_EQ(model.chance_if_appended(type, deadline), expected)
           << label << " (repeat) type=" << type << " deadline=" << deadline;
-      const double viewed = model.appended_view(type).mass_before(deadline);
-      ASSERT_DOUBLE_EQ(viewed, expected)
-          << label << " (view) type=" << type << " deadline=" << deadline;
     }
   }
 }
@@ -150,10 +147,9 @@ TEST(AppendedView, EmptyQueueTracksNow) {
   expect_probes_match(sandbox, pet, 8, 80, 1, "now=8");
 }
 
-TEST(AppendedView, ViewAgreesWithMaterialisedAppend) {
+TEST(AppendedView, ProbeAgreesWithMaterialisedAppend) {
   // Appending the probed task and reading chance(last) must agree with the
-  // view within convolution rounding (the probe-vs-append property the
-  // incremental suite checks for chance_if_appended, now for the view).
+  // memoised probe within convolution rounding.
   Rng rng(123);
   const PetMatrix pet = random_pet(rng, 3, /*stride=*/1);
   for (int round = 0; round < 10; ++round) {
@@ -162,9 +158,9 @@ TEST(AppendedView, ViewAgreesWithMaterialisedAppend) {
     sandbox.enqueue(0, 1, 30 + round);
     CompletionModel& model = sandbox.model(0);
     const Tick deadline = 25 + 3 * round;
-    const double viewed = model.appended_view(2).mass_before(deadline);
+    const double probed = model.chance_if_appended(2, deadline);
     sandbox.enqueue(0, 2, deadline);
-    EXPECT_NEAR(model.chance(2), viewed, 1e-9) << "round " << round;
+    EXPECT_NEAR(model.chance(2), probed, 1e-9) << "round " << round;
   }
 }
 
@@ -194,7 +190,6 @@ TEST(AppendedView, RevisionBumpsOnInvalidateNotOnReads) {
   sandbox.enqueue(0, 0, 50);
   const auto before = model.revision();
   (void)model.chance_if_appended(1, 30);
-  (void)model.appended_view(1);
   (void)model.tail_mean();
   (void)model.instantaneous_robustness();
   EXPECT_EQ(model.revision(), before);

@@ -189,6 +189,48 @@ TEST(Audit, PrunedDropperWindowsSurviveDenseAudit) {
   }
 }
 
+TEST(Audit, PrunedPamProbesSurviveDenseAudit) {
+  // PAM skips the probes of lone-free-machine rounds (PAM only) and of
+  // candidates whose completion floor already loses phase 2 (PAM and
+  // PAMD). With every audit gate firing, each skipped candidate is probed
+  // and keyed anyway and must lose, and each unprobed lone-machine round
+  // must match the phase-1 argmax — and the audited run must decide
+  // exactly like the sampled one. Three machines of capacity 2 under a
+  // dense stream give both multi-machine and lone-machine rounds.
+  const PetMatrix pet = pet_of({{{{2, 0.4}, {6, 0.4}, {16, 0.2}},
+                                 {{4, 0.5}, {8, 0.5}}},
+                                {{{3, 0.6}, {9, 0.3}, {18, 0.1}},
+                                 {{6, 1.0}}},
+                                {{{5, 1.0}}, {{2, 0.5}, {10, 0.5}}}});
+  Trace trace;
+  for (int i = 0; i < 120; ++i) {
+    trace.push_back({static_cast<TaskTypeId>(i % 3), Tick{i / 2},
+                     Tick{i / 2 + 10 + (i % 7) * 3}});
+  }
+  const auto run_once = [&](const std::string& mapper_name) {
+    auto mapper = make_mapper(mapper_name);
+    ProactiveHeuristicDropper dropper;
+    EngineConfig config;
+    config.queue_capacity = 2;
+    Engine engine(pet, {0, 1, 0}, *mapper, dropper, config);
+    return engine.run(trace);
+  };
+  for (const std::string name : {"PAM", "PAMD"}) {
+    const SimResult baseline = run_once(name);
+    IntervalGuard guard;
+    if (audit::kEnabled) audit::set_interval_for_testing(1);
+    const SimResult audited = run_once(name);
+    ASSERT_EQ(audited.tasks.size(), baseline.tasks.size()) << name;
+    for (std::size_t i = 0; i < baseline.tasks.size(); ++i) {
+      EXPECT_EQ(audited.tasks[i].state, baseline.tasks[i].state)
+          << name << " task " << i;
+      EXPECT_EQ(audited.tasks[i].machine, baseline.tasks[i].machine)
+          << name << " task " << i;
+    }
+    EXPECT_EQ(audited.makespan, baseline.makespan) << name;
+  }
+}
+
 TEST(Audit, AuditedOnlineRunMatchesUnauditedRun) {
   // Same contract for the callback-driven path: the batch-coherence and
   // chain cross-checks fire on OnlineScheduler mutations too (the sampled
