@@ -1,6 +1,7 @@
 #include "prob/convolution.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -43,14 +44,58 @@ void audit_fft_mass(const double* out, const double* a, std::size_t na,
 
 /// o[j] += s * x[j]. The accumulation buffer is workspace-owned scratch and
 /// never aliases a PMF's probability storage, so the restrict qualification
-/// is structurally sound; it is what lets the autovectorizer emit straight
-/// vector code instead of a runtime alias-versioned loop (-fopt-info-vec
-/// reports "loop vectorized" with no versioning note). Summation order is
-/// identical to the plain scalar loop — vectorization only reorders
-/// *independent* lanes, so results stay bit-identical to the reference.
+/// is structurally sound and the autovectorizer emits straight vector code
+/// with no runtime alias check. Lanes are independent outputs, so
+/// vectorization reorders no sum. mac_rows uses it for the rows left over
+/// after its four-row blocks; the pass-through step uses it with s = 1.0.
 inline void axpy(double* __restrict o, const double* __restrict x,
                  std::size_t n, double s) {
   for (std::size_t j = 0; j < n; ++j) o[j] += s * x[j];
+}
+
+/// Four rows in one sweep: for k in [0, n + 3),
+///   o[k] = (((o[k] + p[0]*x[k]) + p[1]*x[k-1]) + p[2]*x[k-2]) + p[3]*x[k-3],
+/// one load and one store of o[k] where four axpy sweeps take four of
+/// each. `x` is a copy padded by three zero bins on each side
+/// (PmfWorkspace::padded), so the reads at x[-3] and x[n + 2] stay in
+/// bounds. Each output adds the same products in the same ascending row
+/// order as the four sweeps; the extra terms (padding, or an exact-zero row
+/// that axpy's caller would skip) are +0.0 and leave the nonnegative sum
+/// unchanged. Every product is rounded before it is added: -ffp-contract=off
+/// (root CMakeLists.txt) keeps the compiler from fusing them into FMAs.
+inline void axpy4(double* __restrict o, const double* __restrict x,
+                  std::size_t n, const double* p) {
+  const double p0 = p[0];
+  const double p1 = p[1];
+  const double p2 = p[2];
+  const double p3 = p[3];
+  const auto end = static_cast<std::ptrdiff_t>(n) + 3;
+  for (std::ptrdiff_t k = 0; k < end; ++k) {
+    double s = o[k];
+    s += p0 * x[k];
+    s += p1 * x[k - 1];
+    s += p2 * x[k - 2];
+    s += p3 * x[k - 3];
+    o[k] = s;
+  }
+}
+
+/// Direct convolution into the accumulation buffer: acc[i + j] +=
+/// rows[i] * x[j] for i < n_rows, j < nx. Every output sums its products in
+/// ascending row order, so the result is bit-identical to one axpy per
+/// nonzero row. Rows go four per sweep through axpy4; the n_rows % 4 left
+/// over go one per sweep.
+void mac_rows(double* acc, const double* rows, std::size_t n_rows,
+              const double* x, std::size_t nx, PmfWorkspace& ws) {
+  std::size_t i = 0;
+  if (n_rows >= 4) {
+    const double* padded = ws.padded(x, nx, 3);
+    for (; i + 4 <= n_rows; i += 4) axpy4(acc + i, padded, nx, rows + i);
+  }
+  for (; i < n_rows; ++i) {
+    if (rows[i] == 0.0) continue;  // float-eq-ok: exact-zero sparse skip
+    axpy(acc + i, x, nx, rows[i]);
+  }
 }
 
 /// o[j] = s * x[j], same aliasing contract as axpy.
@@ -127,13 +172,7 @@ void convolve_into(const Pmf& a, const Pmf& b, PmfWorkspace& ws, Pmf& out) {
     // Both inputs share the stride, so bin i of `a` against bin j of `b`
     // lands exactly on bin i + j: the inner loop is a contiguous
     // multiply-accumulate with no per-element lattice arithmetic.
-    const double* pb = b.data();
-    const std::size_t nb = b.size();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const double pa = a.prob_at_index(i);
-      if (pa == 0.0) continue;  // float-eq-ok: exact-zero sparse skip
-      axpy(acc.data() + i, pb, nb, pa);
-    }
+    mac_rows(acc.data(), a.data(), a.size(), b.data(), b.size(), ws);
   }
   publish(acc, lo, stride, out);
 }
@@ -221,11 +260,7 @@ void deadline_convolve_into(const Pmf& pred, const Pmf& exec, Tick deadline,
     ws.fft.convolve(pred.data(), split, pe, ne, acc.data() + conv_base);
     audit_fft_mass(acc.data() + conv_base, pred.data(), split, pe, ne);
   } else {
-    for (std::size_t i = 0; i < split; ++i) {
-      const double pk = pred.prob_at_index(i);
-      if (pk == 0.0) continue;  // float-eq-ok: exact-zero sparse skip
-      axpy(acc.data() + conv_base + i, pe, ne, pk);
-    }
+    mac_rows(acc.data() + conv_base, pred.data(), split, pe, ne, ws);
   }
   const auto pass_base =
       static_cast<std::size_t>((pred.min_time() - lo) / stride);

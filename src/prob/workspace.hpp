@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -31,6 +32,16 @@ class PmfWorkspace {
     return acc_;
   }
 
+  /// Copy of x[0, n) with `pad` zero bins on each side, for the blocked
+  /// direct-convolution kernel's shifted reads. Returns a pointer r to the
+  /// copy of x[0], so r[-pad] .. r[n + pad - 1] are readable; valid until
+  /// the next padded() call.
+  const double* padded(const double* x, std::size_t n, std::size_t pad) {
+    pad_.assign(n + 2 * pad, 0.0);
+    std::copy(x, x + n, pad_.begin() + static_cast<std::ptrdiff_t>(pad));
+    return pad_.data() + pad;
+  }
+
   /// Scratch chain PMF for iterated-convolution walks (window_chance_sum,
   /// the droppers' provisional chains). Kernels never touch it, so a chain
   /// held here may be passed as both input and output of the *_into calls.
@@ -43,6 +54,7 @@ class PmfWorkspace {
 
  private:
   std::vector<double> acc_;
+  std::vector<double> pad_;
 };
 
 }  // namespace taskdrop
