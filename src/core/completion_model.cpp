@@ -100,7 +100,6 @@ void CompletionModel::notify_head_started(Tick deadline) {
 
 void CompletionModel::invalidate_from(std::size_t pos) {
   valid_count_ = std::min(valid_count_, pos);
-  cdf_valid_count_ = std::min(cdf_valid_count_, pos);
   ++version_;
   ++chain_version_;
 }
@@ -162,7 +161,6 @@ void CompletionModel::ensure(std::size_t pos) {
   assert(pos < q);
   if (completions_.size() < q) {
     completions_.resize(q);
-    cdfs_.resize(q);
     chances_.resize(q);
   }
   for (std::size_t i = valid_count_; i <= pos; ++i) {
@@ -244,19 +242,6 @@ void CompletionModel::audit_verify_chain(std::size_t pos) {
 const Pmf& CompletionModel::completion(std::size_t pos) {
   ensure(pos);
   return completions_[pos];
-}
-
-const PmfCdf& CompletionModel::completion_cdf(std::size_t pos) {
-  ensure(pos);
-  // Prefix sums are rebuilt lazily: chain maintenance itself never pays
-  // for them (the one chance query per slot reads the PMF directly), so
-  // the views only cost when a caller actually wants repeated O(1)
-  // cumulative-mass queries.
-  for (std::size_t i = cdf_valid_count_; i <= pos; ++i) {
-    cdfs_[i].rebuild(completions_[i]);
-  }
-  cdf_valid_count_ = std::max(cdf_valid_count_, pos + 1);
-  return cdfs_[pos];
 }
 
 double CompletionModel::chance(std::size_t pos) {

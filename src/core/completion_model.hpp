@@ -26,9 +26,8 @@ namespace taskdrop {
 /// (Eq. 2).
 ///
 /// The chain is maintained incrementally with dirty-index tracking: PMFs
-/// are cached per position together with a per-slot cumulative-mass view
-/// (PmfCdf), and recomputed lazily from the first position whose
-/// predecessor chain changed. Appending one task (the common mapping-event
+/// are cached per position and recomputed lazily from the first position
+/// whose predecessor chain changed. Appending one task (the common mapping-event
 /// mutation) re-convolves only the new tail slot; dropping a mid-queue task
 /// re-convolves only the suffix from its position. Rebuilds run through a
 /// shared PmfWorkspace, so steady-state chain maintenance performs no
@@ -119,12 +118,6 @@ class CompletionModel {
 
   /// Completion-time PMF of queue position `pos` (Eq. 1).
   const Pmf& completion(std::size_t pos);
-
-  /// Cached cumulative-mass view of completion(pos): P(X < t) in O(1),
-  /// bit-identical to completion(pos).mass_before(t). Views are rebuilt
-  /// lazily on first access after an invalidation, so chain maintenance
-  /// never pays for them.
-  const PmfCdf& completion_cdf(std::size_t pos);
 
   /// Chance of success of queue position `pos` (Eq. 2).
   double chance(std::size_t pos);
@@ -229,12 +222,8 @@ class CompletionModel {
   Pmf start_;
 
   std::vector<Pmf> completions_;
-  /// Lazily-rebuilt cumulative views over completions_; valid for slots
-  /// below cdf_valid_count_ (always <= valid_count_).
-  std::vector<PmfCdf> cdfs_;
   std::vector<double> chances_;
   std::size_t valid_count_ = 0;
-  std::size_t cdf_valid_count_ = 0;
   std::uint64_t version_ = 0;
   /// Bumped only by invalidate_from — i.e. exactly when the cached chain
   /// contents change. bump_revision (a start with an unchanged chain)

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
@@ -78,10 +79,20 @@ struct Decision {
   }
 };
 
+/// Longest record format_decision writes: time and task at their most
+/// negative, the largest (printed, so non-negative) machine id and the
+/// longest kind name (decision.cpp checks the sum).
+inline constexpr std::size_t kDecisionRecordMax = 88;
+
 /// One-line textual rendering, the record format of `taskdrop_cli serve`:
 ///   `t=<time> kind=<kind> task=<id> machine=<id>`
-/// (machine omitted when -1). Deterministic — the serve golden files
+/// (machine omitted when negative, i.e. -1), without a newline, written to
+/// `buf` (at least kDecisionRecordMax chars); returns one past its last
+/// char. Deterministic and locale-independent — the serve golden files
 /// byte-diff against it.
+char* format_decision(const Decision& decision, char* buf);
+
+/// Writes format_decision's record with one unformatted write.
 std::ostream& operator<<(std::ostream& out, const Decision& decision);
 
 }  // namespace taskdrop

@@ -143,8 +143,7 @@ TEST_P(CompletionIncrementalTest, ChainMatchesFromScratchRebuild) {
     expect_chain_bitwise_equal(incremental, rebuilt, h.machine, what);
 
     // Model invariants at every step: each slot's completion PMF carries
-    // (sub-)unit mass, its chance respects Eq. 2's bounds, and the cached
-    // cumulative view answers exactly like the PMF it summarises.
+    // (sub-)unit mass and its chance respects Eq. 2's bounds.
     for (std::size_t pos = 0; pos < h.machine.queue.size(); ++pos) {
       const Pmf& completion = incremental.completion(pos);
       const double mass = completion.total_mass();
@@ -152,13 +151,6 @@ TEST_P(CompletionIncrementalTest, ChainMatchesFromScratchRebuild) {
       ASSERT_GE(mass, 1.0 - 1e-9);  // chains of proper PMFs stay proper
       ASSERT_GE(incremental.chance(pos), 0.0);
       ASSERT_LE(incremental.chance(pos), 1.0 + 1e-12);
-      const PmfCdf& cdf = incremental.completion_cdf(pos);
-      for (const Tick t : {completion.min_time() - 1, completion.min_time(),
-                           (completion.min_time() + completion.max_time()) / 2,
-                           completion.max_time() + 1}) {
-        ASSERT_EQ(cdf.mass_before(t), completion.mass_before(t))
-            << "cdf view diverged at horizon " << t << ", pos " << pos;
-      }
     }
   }
 }

@@ -80,6 +80,35 @@ expect_abort unknown_event \
 frobnicate 1 2
 EOF
 
+# Parse-error contract: the stream grammar's rejection messages, word for
+# word (operands are optionally signed decimal integers; a number ends at
+# the first non-digit, which starts the next token).
+expect_abort missing_operand \
+    "stream line 2: event 'arrive' needs 3 integer operand(s)" <<'EOF'
+advance 1
+arrive 2 0
+EOF
+
+expect_abort non_integer_operand \
+    "stream line 1: event 'finish' needs 2 integer operand(s)" <<'EOF'
+finish 0 x
+EOF
+
+expect_abort trailing_token \
+    "stream line 1: trailing token 'x' after event 'advance'" <<'EOF'
+advance 3 x
+EOF
+
+expect_abort glued_trailing_token \
+    "stream line 1: trailing token 'x' after event 'advance'" <<'EOF'
+advance 3x
+EOF
+
+expect_abort operand_overflow \
+    "stream line 1: event 'advance' needs 1 integer operand(s)" <<'EOF'
+advance 9223372036854775808
+EOF
+
 # --on-error=skip: the same stream with one bad line in the middle must
 # exit 0, log a structured error record in place, produce the identical
 # decision records otherwise, and count the skip in the stats.

@@ -65,6 +65,9 @@
      up <t> <machine>               <machine> recovered
      advance <t>                    time passed with no event
 
+   Operands are optionally signed decimal integers (the full grammar is in
+   src/online/stream_event.hpp).
+
    Robustness knobs (all off by default so the decision log stays
    byte-identical to earlier builds):
 
@@ -117,9 +120,12 @@
 #include "exp/lease.hpp"
 #include "exp/sweep.hpp"
 #include "metrics/report.hpp"
+#include "online/decision.hpp"
 #include "online/online_scheduler.hpp"
+#include "online/stream_event.hpp"
 #include "util/atomic_file.hpp"
 #include "util/flags.hpp"
+#include "util/flush_before_read.hpp"
 #include "util/spec_parser.hpp"
 #include "util/stats.hpp"
 #include "workload/scenario_registry.hpp"
@@ -472,61 +478,6 @@ int run_merge_command(const Flags& flags,
   });
 }
 
-/// One parsed line of the serve event stream.
-struct StreamEvent {
-  enum class Kind { Arrive, Finish, Down, Up, Advance } kind;
-  Tick t = 0;
-  long long a = 0;  ///< type (arrive) or machine (finish/down/up)
-  long long b = 0;  ///< deadline (arrive only)
-};
-
-/// Parses one non-empty, non-comment stream line; throws with the token
-/// that failed (the caller prefixes the line number).
-StreamEvent parse_stream_event(const std::string& line) {
-  std::istringstream in(line);
-  std::string op;
-  in >> op;
-  StreamEvent event;
-  int operands = 0;
-  if (op == "arrive") {
-    event.kind = StreamEvent::Kind::Arrive;
-    operands = 3;
-  } else if (op == "finish") {
-    event.kind = StreamEvent::Kind::Finish;
-    operands = 2;
-  } else if (op == "down") {
-    event.kind = StreamEvent::Kind::Down;
-    operands = 2;
-  } else if (op == "up") {
-    event.kind = StreamEvent::Kind::Up;
-    operands = 2;
-  } else if (op == "advance") {
-    event.kind = StreamEvent::Kind::Advance;
-    operands = 1;
-  } else {
-    throw std::invalid_argument(
-        "unknown event '" + op +
-        "' (available: arrive, finish, down, up, advance)");
-  }
-  long long fields[3] = {0, 0, 0};
-  for (int i = 0; i < operands; ++i) {
-    if (!(in >> fields[i])) {
-      throw std::invalid_argument("event '" + op + "' needs " +
-                                  std::to_string(operands) +
-                                  " integer operand(s)");
-    }
-  }
-  std::string trailing;
-  if (in >> trailing) {
-    throw std::invalid_argument("trailing token '" + trailing +
-                                "' after event '" + op + "'");
-  }
-  event.t = fields[0];
-  event.a = fields[1];
-  event.b = fields[2];
-  return event;
-}
-
 /// Validates a non-negative int-ranged serve flag (shed watermarks).
 int nonnegative_int_flag(const Flags& flags, const char* name) {
   const long long value = flags.get_int(name, 0);
@@ -640,6 +591,12 @@ int run_serve_command(const Flags& flags) {
     }
     stats = &stats_file;
   }
+  // Events are read through a buffer that flushes the decision log before
+  // each read that may block, in place of std::cin's tie, which flushed it
+  // on every line: a peer feeding one event at a time still sees that
+  // event's decisions before the daemon waits for the next one.
+  FlushBeforeReadBuf event_buf(*events->rdbuf(), *out);
+  std::istream event_lines(&event_buf);
 
   // The daemon plays the environment side of the callback contract: every
   // Start recommendation is confirmed immediately (live mode, no
@@ -671,7 +628,7 @@ int run_serve_command(const Flags& flags) {
   // every exit path below — clean EOF and error teardown alike — funnels
   // through the shutdown summary at the end of this function.
   const auto process_stream = [&]() {
-    while (std::getline(*events, line)) {
+    while (std::getline(event_lines, line)) {
       ++line_no;
       const auto first = line.find_first_not_of(" \t\r");
       if (first == std::string::npos || line[first] == '#') continue;
@@ -759,7 +716,10 @@ int run_serve_command(const Flags& flags) {
             case DecisionKind::ShedOverload: ++shed; break;
             default: break;
           }
-          *out << decision << '\n';
+          char record[kDecisionRecordMax + 1];
+          char* const record_end = format_decision(decision, record);
+          *record_end = '\n';
+          out->write(record, record_end + 1 - record);
         }
         // Periodic crash checkpoint: the decision log is flushed first so
         // the snapshot never claims events whose decisions have not hit the
@@ -860,6 +820,11 @@ int run_serve_command(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Nothing here mixes C stdio with iostreams or writes one standard stream
+  // from two threads at once (sweep progress lines are serialised), so the
+  // standard streams can buffer like file streams: `serve` piped through
+  // stdin and stdout then costs what --stream/--out cost.
+  std::ios::sync_with_stdio(false);
   try {
     const Flags flags(argc, argv);
     if (handle_list_flags(flags)) return 0;
